@@ -5,7 +5,8 @@ One CLI over the :mod:`repro.api` facade.
 - ``repro simulate ARCHIVE``: generate a synthetic Route Views archive
   (``--workers`` parallelizes the optional MRT day dumps;
   ``--archive-format v2`` writes the indexed binary day store;
-  ``--rpki`` issues a ROA database beside it);
+  ``--rpki`` issues a ROA database beside it); the archive is written
+  atomically, and a failed generation exits 2 with no archive left;
 - ``repro analyze ARCHIVE OUT``: run the study and write every
   figure/table, with optional ``--checkpoint`` / ``--resume``,
   parallel ``--workers`` / ``--shards``, and ``--rpki roas.json``
@@ -47,6 +48,7 @@ from repro.analysis.pipeline import StudyResults
 from repro.api.renderers import render
 from repro.api.service import MoasService
 from repro.scenario.world import ScenarioConfig, simulate_study
+from repro.topology.addressing import PoolExhaustedError
 from repro.util.dates import parse_date
 
 
@@ -203,12 +205,22 @@ def _run_simulate(args: argparse.Namespace) -> int:
         archive_format=args.archive_format,
     )
     export_days = {parse_date(text) for text in args.mrt_export}
-    summary = simulate_study(
-        args.archive_dir,
-        config,
-        mrt_export_days=export_days,
-        workers=args.workers,
-    )
+    try:
+        summary = simulate_study(
+            args.archive_dir,
+            config,
+            mrt_export_days=export_days,
+            workers=args.workers,
+        )
+    except (PoolExhaustedError, OSError) as error:
+        # The archive is written through a staging directory, so a
+        # failed run leaves archive_dir as it was.
+        print(
+            f"repro simulate: {type(error).__name__}: {error}; "
+            "no archive written",
+            file=sys.stderr,
+        )
+        return 2
     print(f"archive written to {args.archive_dir}")
     for key in (
         "observed_days",

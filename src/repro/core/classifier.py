@@ -115,34 +115,59 @@ def classify_conflict(conflict: DailyConflict) -> ConflictClass:
     )
 
 
-#: id(conflict) -> (weakref to it, its class).  DailyConflict is frozen
-#: and classification is a pure function of it, so when the columnar
-#: detector hands back the same cached object day after day its class
-#: is looked up, not recomputed.  The weakref guards against id reuse
-#: (the referent must still *be* the conflict) and its callback evicts
-#: the entry when the conflict dies, so nothing is pinned.
+#: id(conflict) -> (weakref to it, its class or ``None``).
+#: DailyConflict is frozen and classification is a pure function of it,
+#: so when the columnar detector hands back the same cached object day
+#: after day its class is looked up, not recomputed.  The weakref guards
+#: against id reuse (the referent must still *be* the conflict) and its
+#: callback evicts the entry when the conflict dies, so nothing is
+#: pinned.
 _CLASS_MEMO: dict[int, tuple] = {}
+
+
+def _evict(key: int, ref: weakref.ref) -> None:
+    """Weakref callback: drop ``key``'s entry if it is still ``ref``'s."""
+    entry = _CLASS_MEMO.get(key)
+    if entry is not None and entry[0] is ref:
+        del _CLASS_MEMO[key]
+
+
+def cached_class(conflict: DailyConflict) -> ConflictClass | None:
+    """:func:`classify_conflict`, computed once per conflict object.
+
+    Returns ``None`` for a conflict that cannot be classified (no paths
+    for two origins); that outcome is remembered too.  The study fold's
+    figure-6 series and the verdict engine's class votes both read
+    through here, so a conflict seen by both is classified once.
+    """
+    key = id(conflict)
+    entry = _CLASS_MEMO.get(key)
+    if entry is not None and entry[0]() is conflict:
+        return entry[1]
+    try:
+        conflict_class = classify_conflict(conflict)
+    except ValueError:
+        conflict_class = None
+    _CLASS_MEMO[key] = (
+        weakref.ref(conflict, lambda ref, _key=key: _evict(_key, ref)),
+        conflict_class,
+    )
+    return conflict_class
 
 
 def classify_day(
     conflicts: Sequence[DailyConflict],
 ) -> dict[ConflictClass, int]:
-    """Per-class conflict counts for one day (the figure-6 series)."""
-    memo = _CLASS_MEMO
+    """Per-class conflict counts for one day (the figure-6 series).
+
+    Raises :class:`ValueError` for a conflict that cannot be classified.
+    """
     counts = {conflict_class: 0 for conflict_class in ConflictClass}
     for conflict in conflicts:
-        key = id(conflict)
-        entry = memo.get(key)
-        if entry is not None and entry[0]() is conflict:
-            conflict_class = entry[1]
-        else:
-            conflict_class = classify_conflict(conflict)
-            memo[key] = (
-                weakref.ref(
-                    conflict,
-                    lambda _ref, _memo=memo, _key=key: _memo.pop(_key, None),
-                ),
-                conflict_class,
+        conflict_class = cached_class(conflict)
+        if conflict_class is None:
+            raise ValueError(
+                f"conflict on {conflict.prefix} cannot be classified"
             )
         counts[conflict_class] += 1
     return counts

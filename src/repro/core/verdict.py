@@ -30,7 +30,7 @@ import datetime
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.classifier import ConflictClass, classify_conflict
+from repro.core.classifier import ConflictClass, cached_class
 from repro.core.detector import DayDetection
 from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
@@ -205,9 +205,25 @@ class VerdictEngine:
     engine.  Verdicts come from :meth:`finalize`, and
     :meth:`state_dict` / :meth:`from_state` round-trip the streaming
     evidence so checkpointed sessions can resume mid-study.
+
+    :meth:`finalize` is incremental: repeated calls rebuild only the
+    verdicts whose inputs changed since the previous call.  Those
+    caches are derived state: they never enter :meth:`state_dict`, and
+    :meth:`merge` / :meth:`from_state` start without them.
     """
 
-    __slots__ = ("config", "shard", "roa_table", "_evidence", "_total_days")
+    __slots__ = (
+        "config",
+        "shard",
+        "roa_table",
+        "_evidence",
+        "_total_days",
+        "_touched",
+        "_verdicts",
+        "_verdicts_days",
+        "_registry",
+        "_registry_view",
+    )
 
     def __init__(
         self,
@@ -224,6 +240,16 @@ class VerdictEngine:
         self.roa_table = roa_table
         self._evidence: dict[Prefix, _Evidence] = {}
         self._total_days = 0
+        # -- finalize caches (see finalize) --
+        #: Prefixes whose evidence changed since the last finalize.
+        self._touched: set[Prefix] = set()
+        #: The last finalize's verdicts and the day count they saw.
+        self._verdicts: dict[Prefix, Verdict] = {}
+        self._verdicts_days = 0
+        #: The registry those verdicts were built against, and its
+        #: (structural tags, owners) view.
+        self._registry = None
+        self._registry_view: tuple[dict, dict] = ({}, {})
 
     @property
     def total_days(self) -> int:
@@ -241,10 +267,12 @@ class VerdictEngine:
         ordinal = self._total_days
         contains = self.shard.contains if self.shard is not None else None
         roa_table = self.roa_table
+        touched = self._touched
         for conflict in detection.conflicts:
             prefix = conflict.prefix
             if contains is not None and not contains(prefix):
                 continue
+            touched.add(prefix)
             evidence = self._evidence.get(prefix)
             if evidence is None:
                 evidence = self._evidence[prefix] = _Evidence(
@@ -272,10 +300,9 @@ class VerdictEngine:
                 )
             # Section V class vote for the day; conflicts without path
             # information simply contribute no vote.
-            try:
-                evidence.class_votes[classify_conflict(conflict)] += 1
-            except ValueError:
-                pass
+            conflict_class = cached_class(conflict)
+            if conflict_class is not None:
+                evidence.class_votes[conflict_class] += 1
 
     # -- shard recombination -------------------------------------------------
 
@@ -451,51 +478,81 @@ class VerdictEngine:
         from announced-space structure — including prefixes that never
         produced a same-prefix MOAS conflict at all — and perpetrators
         are attributed as "origins that are not the registered owner".
+
+        Each call returns a new dict, but the work is incremental.  The
+        registry's structural tags and owner map are computed once per
+        registry object (``is`` identity, so the rows must not change in
+        place; passing a different registry, or ``None``, drops them and
+        every cached verdict).  Only the prefixes fed since the previous
+        call are re-verdicted, plus, when the day count moved, every
+        ``wide-origin-set`` prefix (the anycast rule compares its days
+        against the study length); every other :class:`Verdict` object
+        is reused as is.
         """
-        owners: dict[Prefix, int] = {}
-        structural: dict[Prefix, str] = {}
-        if registry is not None:
-            structural = _structural_tags(registry)
-            owners = {
-                entry.prefix: entry.owner
-                for entry in registry
-            }
+        if registry is not self._registry:
+            self._registry = registry
+            self._registry_view = _registry_view(registry)
+            self._verdicts = {}
+        structural, owners = self._registry_view
+        cached = self._verdicts
+        touched = self._touched
+        recount = self._verdicts_days != self._total_days
         verdicts: dict[Prefix, Verdict] = {}
         for prefix, evidence in self._evidence.items():
-            tags = self._episode_tags(prefix, evidence)
-            tag = structural.get(prefix)
-            if tag is not None:
-                tags.add(tag)
-            verdicts[prefix] = self._verdict(
-                prefix,
-                tags,
-                days=evidence.days,
-                origins=frozenset(evidence.origins),
-                owner=owners.get(prefix),
-                rpki_state=evidence.rpki_state,
-            )
+            verdict = cached.get(prefix)
+            if (
+                verdict is None
+                or prefix in touched
+                or (recount and TAG_WIDE_ORIGIN_SET in verdict.tags)
+            ):
+                tags = self._episode_tags(prefix, evidence)
+                tag = structural.get(prefix)
+                if tag is not None:
+                    tags.add(tag)
+                verdict = self._verdict(
+                    prefix,
+                    tags,
+                    days=evidence.days,
+                    origins=frozenset(evidence.origins),
+                    owner=owners.get(prefix),
+                    rpki_state=evidence.rpki_state,
+                )
+            verdicts[prefix] = verdict
         # Registry-only shapes: announced-space anomalies that never
         # conflicted (the AS7007 signature same-prefix MOAS cannot see).
+        # They depend on the registry alone, so a cached one stays valid.
         for prefix, tag in structural.items():
             if prefix in verdicts:
                 continue
-            owner = owners.get(prefix)
-            rpki_state = None
-            if self.roa_table is not None and owner is not None:
-                # No conflict days to validate: judge the announcer's
-                # registration itself against the whole database.
-                rpki_state = self.roa_table.validate(prefix, owner)
-            verdicts[prefix] = self._verdict(
-                prefix,
-                {tag},
-                days=0,
-                origins=frozenset(() if owner is None else (owner,)),
-                owner=None,  # the announcer *is* the suspect
-                rpki_state=rpki_state,
-            )
-        return verdicts
+            verdict = cached.get(prefix)
+            if verdict is None:
+                verdict = self._registry_only_verdict(
+                    prefix, tag, owners.get(prefix)
+                )
+            verdicts[prefix] = verdict
+        self._verdicts = verdicts
+        self._verdicts_days = self._total_days
+        touched.clear()
+        return dict(verdicts)
 
     # -- internals ------------------------------------------------------------
+
+    def _registry_only_verdict(
+        self, prefix: Prefix, tag: str, owner: int | None
+    ) -> Verdict:
+        rpki_state = None
+        if self.roa_table is not None and owner is not None:
+            # No conflict days to validate: judge the announcer's
+            # registration itself against the whole database.
+            rpki_state = self.roa_table.validate(prefix, owner)
+        return self._verdict(
+            prefix,
+            {tag},
+            days=0,
+            origins=frozenset(() if owner is None else (owner,)),
+            owner=None,  # the announcer *is* the suspect
+            rpki_state=rpki_state,
+        )
 
     def _episode_tags(self, prefix: Prefix, evidence: _Evidence) -> set[str]:
         config = self.config
@@ -588,6 +645,14 @@ class VerdictEngine:
                 rpki_state.value if rpki_state is not None else None
             ),
         )
+
+
+def _registry_view(registry) -> tuple[dict[Prefix, str], dict[Prefix, int]]:
+    """``(structural tags, prefix -> owner)`` for ``registry`` (or none)."""
+    if registry is None:
+        return {}, {}
+    owners = {entry.prefix: entry.owner for entry in registry}
+    return _structural_tags(registry), owners
 
 
 def _structural_tags(registry) -> dict[Prefix, str]:

@@ -44,6 +44,7 @@ MRT tooling.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import datetime
 import itertools
 import json
@@ -1628,6 +1629,54 @@ _SIDE_FILES = (
 )
 
 
+@contextlib.contextmanager
+def staged_archive(destination: FsPath, action: str) -> Iterator[FsPath]:
+    """Build an archive in a hidden sibling directory, then rename it.
+
+    Yields the staging directory ``.<name>.<action>-<pid>`` beside
+    ``destination``.  When the block completes, the staging directory
+    is renamed to ``destination``; when it raises, the staging
+    directory is removed, so ``destination`` is never left half
+    written.  An existing ``destination`` is replaced only if it is an
+    empty directory or holds an archive (even a partial one); anything
+    else raises :class:`FileExistsError` before the block runs.
+    """
+    destination = FsPath(destination)
+    if destination.exists() and not _replaceable(destination):
+        raise FileExistsError(
+            f"{destination} exists and is not an archive; refusing to "
+            f"replace it"
+        )
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    staging = destination.parent / (
+        f".{destination.name}.{action}-{os.getpid()}"
+    )
+    if staging.exists():
+        shutil.rmtree(staging)
+    try:
+        yield staging
+        if destination.exists():
+            retired = destination.parent / (
+                f".{destination.name}.replaced-{os.getpid()}"
+            )
+            os.rename(destination, retired)
+            os.rename(staging, destination)
+            shutil.rmtree(retired, ignore_errors=True)
+        else:
+            os.rename(staging, destination)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+
+
+def _replaceable(directory: FsPath) -> bool:
+    """True for an empty directory or one holding an archive's files."""
+    if not directory.is_dir():
+        return False
+    names = {path.name for path in directory.iterdir()}
+    return not names or bool(names & {"manifest.json", "days.bin"})
+
+
 def reencode_archive(
     reader: ArchiveReader,
     writer: ArchiveWriter,
@@ -1695,25 +1744,16 @@ def convert_archive(
         )
     reader = ArchiveReader(source)
     source_format = reader.format
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    staging = destination.parent / (
-        f".{destination.name}.converting-{os.getpid()}"
-    )
-    if staging.exists():
-        shutil.rmtree(staging)
     try:
-        writer = ArchiveWriter(staging, format=format)
-        reencode_archive(reader, writer)
-        for name in _SIDE_FILES:
-            if (source / name).is_file():
-                shutil.copyfile(source / name, staging / name)
-        if (source / "mrt").is_dir():
-            # Exported MRT day dumps ride along with the archive.
-            shutil.copytree(source / "mrt", staging / "mrt")
-        os.rename(staging, destination)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+        with staged_archive(destination, "converting") as staging:
+            writer = ArchiveWriter(staging, format=format)
+            reencode_archive(reader, writer)
+            for name in _SIDE_FILES:
+                if (source / name).is_file():
+                    shutil.copyfile(source / name, staging / name)
+            if (source / "mrt").is_dir():
+                # Exported MRT day dumps ride along with the archive.
+                shutil.copytree(source / "mrt", staging / "mrt")
     finally:
         reader.close()
     return {

@@ -19,6 +19,7 @@ from repro.scenario.archive import (
     FLAG_AS_SET_TAIL,
     FLAG_EXCHANGE_POINT,
     PeerRow,
+    staged_archive,
 )
 from repro.scenario.calibration import (
     Calibration,
@@ -204,8 +205,25 @@ class ScenarioWorld:
         ``1``, the default, never spawns a process).  The archive and
         dump bytes are identical either way.
 
+        The write is atomic: the archive is built in a hidden staging
+        directory and renamed to ``archive_dir`` only once complete
+        (see :func:`~repro.scenario.archive.staged_archive`), so a
+        failed run leaves no partial archive behind.
+
         Returns a summary dict (also stored in the archive manifest).
         """
+        with staged_archive(FsPath(archive_dir), "simulating") as staging:
+            return self._write_archive(
+                staging, mrt_export_days=mrt_export_days, workers=workers
+            )
+
+    def _write_archive(
+        self,
+        archive_dir: FsPath,
+        *,
+        mrt_export_days: set[datetime.date] | None,
+        workers: int,
+    ) -> dict:
         from repro.util.workers import resolve_workers
 
         mrt_export_days = mrt_export_days or set()
@@ -257,7 +275,7 @@ class ScenarioWorld:
                     if day in mrt_export_days:
                         export_futures.append(
                             self._export_mrt_day(
-                                FsPath(archive_dir),
+                                archive_dir,
                                 writer,
                                 record,
                                 pool=export_pool,

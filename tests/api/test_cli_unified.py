@@ -65,6 +65,34 @@ class TestSimulate:
         assert code == 1
         assert "repro simulate:" in capsys.readouterr().err
 
+    def test_pool_exhaustion_exits_2_without_archive(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.topology import generator
+        from repro.topology.addressing import AddressPlan, PoolExhaustedError
+
+        raised = []
+
+        class ExhaustedPlan(AddressPlan):
+            """Runs dry once the day store is being written."""
+
+            def allocate_random_length(self):
+                if any(tmp_path.glob(".archive.simulating-*/days.bin")):
+                    raised.append(True)
+                    raise PoolExhaustedError(
+                        "pool 16.0.0.0/4 exhausted allocating /8"
+                    )
+                return super().allocate_random_length()
+
+        monkeypatch.setattr(generator, "AddressPlan", ExhaustedPlan)
+        code = main(["simulate", str(tmp_path / "archive"), "--scale", "0.01"])
+        err = capsys.readouterr().err
+        assert raised
+        assert code == 2
+        assert err.startswith("repro simulate: PoolExhaustedError: pool")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAnalyze:
     def test_produces_report_and_figures(self, cli_archive, tmp_path, capsys):

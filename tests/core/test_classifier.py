@@ -1,17 +1,24 @@
 """Tests for the OrigTranAS / SplitView / DistinctPaths classifier."""
 
+import datetime
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import classifier
 from repro.core.classifier import (
     ConflictClass,
+    cached_class,
     classify_conflict,
     classify_day,
     classify_pair,
     representative_path,
 )
-from repro.core.detector import DailyConflict
+from repro.core.detector import DailyConflict, DayDetection
+from repro.core.verdict import VerdictEngine
 from repro.netbase.prefix import Prefix
 
 PREFIX = Prefix.parse("10.0.0.0/8")
@@ -154,3 +161,100 @@ class TestClassifyConflict:
         assert counts[ConflictClass.DISTINCT_PATHS] == 1
         assert counts[ConflictClass.SPLIT_VIEW] == 1
         assert counts[ConflictClass.ORIG_TRAN_AS] == 1
+
+
+class TestClassMemo:
+    """``cached_class``: one classification per conflict object."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Conflicts that reached ``classify_conflict`` (the misses)."""
+        seen = []
+
+        def counting(conflict):
+            seen.append(conflict)
+            return classify_conflict(conflict)
+
+        monkeypatch.setattr(classifier, "classify_conflict", counting)
+        return seen
+
+    @staticmethod
+    def feed(engine, conflict, offset):
+        engine.feed_day(
+            DayDetection(
+                day=datetime.date(2001, 6, 1) + datetime.timedelta(offset),
+                conflicts=(conflict,),
+                prefixes_scanned=1,
+                as_set_excluded=0,
+            )
+        )
+
+    def test_study_and_verdict_folds_share_one_classification(self, calls):
+        shared = conflict({42: [(701, 42)], 7: [(1239, 42, 7)]})
+        engine = VerdictEngine()
+        for offset in range(3):
+            assert classify_day([shared])[ConflictClass.ORIG_TRAN_AS] == 1
+            self.feed(engine, shared, offset)
+        assert calls == [shared]
+        votes = engine.state_dict()["evidence"][0][2]["class_votes"]
+        assert votes == {"OrigTranAS": 3}
+
+    def test_pathless_conflict_casts_no_vote_once(self, calls):
+        pathless = DailyConflict(prefix=PREFIX, origins=frozenset({1, 2}))
+        engine = VerdictEngine()
+        for offset in range(3):
+            self.feed(engine, pathless, offset)
+        assert cached_class(pathless) is None
+        assert calls == [pathless]
+        assert engine.state_dict()["evidence"][0][2]["class_votes"] == {}
+        with pytest.raises(ValueError, match="cannot be classified"):
+            classify_day([pathless])
+        assert calls == [pathless]
+
+    def test_entries_evicted_with_their_conflict(self):
+        doomed = conflict({7: [(701, 100, 7)], 8: [(1239, 200, 8)]})
+        key = id(doomed)
+        assert cached_class(doomed) is ConflictClass.DISTINCT_PATHS
+        assert key in classifier._CLASS_MEMO
+        del doomed
+        gc.collect()
+        assert key not in classifier._CLASS_MEMO
+
+    def test_recycled_id_never_returns_a_stale_class(self):
+        split = conflict({7: [(701, 3561, 7)], 8: [(1239, 3561, 8)]})
+        distinct = conflict({7: [(701, 100, 7)], 8: [(1239, 200, 8)]})
+        # A leftover entry under ``split``'s id that belongs to another
+        # object, as if ``split`` reused a dead conflict's address.
+        classifier._CLASS_MEMO[id(split)] = (
+            weakref.ref(distinct),
+            ConflictClass.DISTINCT_PATHS,
+        )
+        assert cached_class(split) is ConflictClass.SPLIT_VIEW
+        # Churn: conflicts of different classes dying and being born,
+        # so freed addresses come back under new conflicts.
+        shapes = (
+            ({7: [(701, 3561, 7)], 8: [(1239, 3561, 8)]},
+             ConflictClass.SPLIT_VIEW),
+            ({42: [(701, 42)], 7: [(1239, 42, 7)]},
+             ConflictClass.ORIG_TRAN_AS),
+            ({7: [(701, 100, 7)], 8: [(1239, 200, 8)]},
+             ConflictClass.DISTINCT_PATHS),
+        )
+        wrong = []
+        for round_ in range(300):
+            paths, expected = shapes[round_ % 3]
+            fresh = conflict(paths)
+            if cached_class(fresh) is not expected:
+                wrong.append(round_)
+            del fresh
+        assert wrong == []
+
+    def test_dead_conflict_does_not_evict_its_successor(self):
+        first = conflict({7: [(701, 100, 7)], 8: [(1239, 200, 8)]})
+        second = conflict({7: [(701, 3561, 7)], 8: [(1239, 3561, 8)]})
+        cached_class(second)
+        key = id(second)
+        successor = classifier._CLASS_MEMO[key]
+        # The callback of a dead conflict once stored under this id.
+        classifier._evict(key, weakref.ref(first))
+        assert classifier._CLASS_MEMO[key] is successor

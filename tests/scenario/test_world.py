@@ -149,3 +149,51 @@ class TestWorldInternals:
         config = ScenarioConfig(scale=0.1)
         assert config.scaled(100) == 10
         assert config.scaled(1) == 1
+
+
+class TestAtomicWrite:
+    """The archive appears whole or not at all."""
+
+    def config(self, **overrides):
+        return ScenarioConfig(
+            scale=0.01,
+            calendar=StudyCalendar(
+                datetime.date(1998, 4, 6), datetime.date(1998, 4, 12)
+            ),
+            paper_archive_gaps=False,
+            **overrides,
+        )
+
+    def test_rerun_replaces_the_archive(self, tmp_path):
+        from repro.scenario.rpki import RpkiConfig
+
+        archive = tmp_path / "archive"
+        simulate_study(archive, self.config(rpki=RpkiConfig()))
+        assert (archive / "roas.json").is_file()
+        summary = simulate_study(archive, self.config())
+        # No side file of the first run survives the second.
+        assert not (archive / "roas.json").exists()
+        assert ArchiveReader(archive).manifest["seed"] == summary["seed"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "archive"
+        ]
+
+    def test_refuses_to_replace_a_non_archive_directory(self, tmp_path):
+        notes = tmp_path / "notes"
+        notes.mkdir()
+        (notes / "todo.txt").write_text("keep me")
+        with pytest.raises(FileExistsError, match="not an archive"):
+            simulate_study(notes, self.config())
+        assert [path.name for path in notes.iterdir()] == ["todo.txt"]
+
+    def test_failure_mid_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def failing_write_day(self, record):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(
+            "repro.scenario.archive.ArchiveWriter.write_day",
+            failing_write_day,
+        )
+        with pytest.raises(OSError, match="disk full"):
+            simulate_study(tmp_path / "archive", self.config())
+        assert list(tmp_path.iterdir()) == []
