@@ -19,9 +19,11 @@ Run:  python examples/as7007_deaggregation.py
 
 import datetime
 
-from repro.bgp import ASGraph, Network
-from repro.core import detect_snapshot
-from repro.netbase import Prefix, PrefixTrie
+from repro.bgp.network import Network
+from repro.bgp.relationships import ASGraph
+from repro.core.detector import detect_snapshot
+from repro.netbase.prefix import Prefix
+from repro.netbase.trie import PrefixTrie
 
 
 def main() -> None:

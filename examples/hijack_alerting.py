@@ -15,7 +15,8 @@ Run:  python examples/hijack_alerting.py
 from repro.core.realtime import AlertKind, StreamingMoasDetector
 from repro.mrt.attributes import PathAttributes
 from repro.mrt.records import Bgp4mpMessage
-from repro.netbase import ASPath, Prefix
+from repro.netbase.aspath import ASPath
+from repro.netbase.prefix import Prefix
 
 
 def announce(

@@ -11,9 +11,11 @@ Run:  python examples/quickstart.py
 
 import datetime
 
-from repro.bgp import ASGraph, Network
-from repro.core import classify_conflict, detect_snapshot
-from repro.netbase import Prefix
+from repro.bgp.network import Network
+from repro.bgp.relationships import ASGraph
+from repro.core.classifier import classify_conflict
+from repro.core.detector import detect_snapshot
+from repro.netbase.prefix import Prefix
 
 # 1. A small Internet: two tier-1s peering, two regional transits,
 #    three edge ASes.  add_customer(provider, customer).

@@ -28,18 +28,9 @@ See README.md for install and quickstart, and CHANGES.md for the
 release history.
 """
 
-__version__ = "1.9.0"
+import importlib
 
-from repro.netbase import (
-    ASPath,
-    PeerId,
-    Prefix,
-    RibSnapshot,
-    Roa,
-    RoaTable,
-    Route,
-    ValidationState,
-)
+__version__ = "1.10.0"
 
 __all__ = [
     "ASPath",
@@ -57,15 +48,40 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """Lazily expose the :mod:`repro.api` facade at the top level.
+def lazy_exports(module_name: str, homes: dict[str, str]):
+    """A PEP 562 module ``__getattr__`` serving ``homes`` on first use.
 
-    ``MoasService``, ``DetectionSource`` and ``render`` import the
-    analysis stack; deferring that import keeps ``import repro`` cheap
-    for callers that only need the value types.
+    ``homes`` maps each exported name to its home module, which is
+    imported only when the name is first looked up.  The facades
+    (:mod:`repro` and :mod:`repro.api`) export this way, so importing
+    them, and so starting any ``repro`` subcommand, loads no other
+    module; every other package ``__init__`` exports nothing.
     """
-    if name in ("MoasService", "DetectionSource", "render"):
-        import repro.api as api
 
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(
+                f"module {module_name!r} has no attribute {name!r}"
+            )
+        return getattr(importlib.import_module(home), name)
+
+    return __getattr__
+
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ASPath": "repro.netbase.aspath",
+        "DetectionSource": "repro.api.sources",
+        "MoasService": "repro.api.service",
+        "PeerId": "repro.netbase.rib",
+        "Prefix": "repro.netbase.prefix",
+        "RibSnapshot": "repro.netbase.rib",
+        "Roa": "repro.netbase.rpki",
+        "RoaTable": "repro.netbase.rpki",
+        "Route": "repro.netbase.rib",
+        "ValidationState": "repro.netbase.rpki",
+        "render": "repro.api.renderers",
+    },
+)

@@ -13,39 +13,3 @@ reproduces the Section III vantage-point comparison; and
 :mod:`repro.analysis.baselines` implements the related-work baseline
 (Huston's bare daily counter).
 """
-
-from repro.analysis.compare import (
-    compare_to_paper,
-    comparison_table,
-    fraction_passing,
-)
-from repro.analysis.evaluation import (
-    EvaluationReport,
-    EvaluationResult,
-    evaluate_verdicts,
-)
-from repro.analysis.export import episodes_csv, summary_json
-from repro.analysis.parallel import ParallelExecutor, resolve_workers
-from repro.analysis.pipeline import StudyPipeline, StudyResults, StudyState
-from repro.analysis.sources import (
-    detections_from_archive,
-    detections_from_mrt_files,
-)
-
-__all__ = [
-    "EvaluationReport",
-    "EvaluationResult",
-    "evaluate_verdicts",
-    "ParallelExecutor",
-    "resolve_workers",
-    "StudyState",
-    "compare_to_paper",
-    "comparison_table",
-    "fraction_passing",
-    "episodes_csv",
-    "summary_json",
-    "StudyPipeline",
-    "StudyResults",
-    "detections_from_archive",
-    "detections_from_mrt_files",
-]

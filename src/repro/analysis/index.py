@@ -53,6 +53,7 @@ trailer checksum.
 from __future__ import annotations
 
 import datetime
+import json
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
@@ -188,6 +189,132 @@ class QueryAnswer:
             "episode": self.record.episode_dict(),
             "verdict": self.record.verdict_dict(),
         }
+
+
+# -- episode-index query answers ----------------------------------------------
+#
+# ``repro query`` renders a :class:`QueryAnswer` (one prefix's indexed
+# history resolved against a day window), not a whole-study
+# ``StudyResults``, so these live beside it rather than in the
+# :mod:`repro.api.renderers` registry: answering a query then loads
+# none of the figure stack.  ``repro.api.renderers`` re-exports
+# :func:`render_query`.
+
+#: Column order of the ``repro query`` CSV document.
+_QUERY_CSV_COLUMNS = (
+    "prefix,prefix_length,first_day,last_day,days_observed,origins,"
+    "max_origins_single_day,ongoing,one_time,rpki_state,verdict_kind,"
+    "verdict_tags,suspicion,perpetrators,window_start,window_end,"
+    "active,overlap_days,concurrent_episodes,total_episodes,"
+    "days_indexed"
+)
+
+
+def query_csv(answer: QueryAnswer) -> str:
+    """One query answer as a single-row CSV document."""
+    record = answer.record
+    row = [
+        str(record.prefix),
+        str(record.prefix.length),
+        record.first_day.isoformat(),
+        record.last_day.isoformat(),
+        str(record.days_observed),
+        " ".join(str(asn) for asn in record.origins),
+        str(record.max_origins_single_day),
+        str(int(record.ongoing)),
+        str(int(record.one_time)),
+        record.rpki_state or "",
+        record.verdict_kind or "",
+        " ".join(record.verdict_tags),
+        "" if record.suspicion is None else f"{record.suspicion:.4f}",
+        " ".join(str(asn) for asn in record.perpetrators),
+        answer.window_start.isoformat(),
+        answer.window_end.isoformat(),
+        str(int(answer.active)),
+        str(answer.overlap_days),
+        str(answer.concurrent_episodes),
+        str(answer.total_episodes),
+        str(answer.days_indexed),
+    ]
+    return _QUERY_CSV_COLUMNS + "\n" + ",".join(row) + "\n"
+
+
+def query_ascii(answer: QueryAnswer) -> str:
+    """The human-readable query answer."""
+    record = answer.record
+    title = f"MOAS episode history: {record.prefix}"
+    window = (
+        f"{answer.window_start.isoformat()} .. "
+        f"{answer.window_end.isoformat()}"
+        + (" (queried)" if answer.explicit_window else " (episode span)")
+    )
+    active = (
+        f"yes ({answer.overlap_days} overlapping day(s))"
+        if answer.active
+        else "no"
+    )
+    lines = [
+        title,
+        "=" * len(title),
+        "",
+        f"{'window':<15} {window}",
+        f"{'active':<15} {active}",
+        f"{'first seen':<15} {record.first_day.isoformat()}",
+        f"{'last seen':<15} {record.last_day.isoformat()}",
+        f"{'days observed':<15} {record.days_observed}",
+        f"{'origins':<15} "
+        + " ".join(str(asn) for asn in record.origins),
+        f"{'peak width':<15} {record.max_origins_single_day}",
+        f"{'ongoing':<15} {'yes' if record.ongoing else 'no'}",
+        f"{'one-time':<15} {'yes' if record.one_time else 'no'}",
+    ]
+    if record.rpki_state is not None:
+        lines.append(f"{'rpki':<15} {record.rpki_state}")
+    if record.verdict_kind is not None:
+        tags = (
+            ", ".join(record.verdict_tags)
+            if record.verdict_tags
+            else "-"
+        )
+        lines.append(
+            f"{'verdict':<15} {record.verdict_kind} "
+            f"(suspicion {record.suspicion:.2f}; tags: {tags})"
+        )
+        if record.perpetrators:
+            lines.append(
+                f"{'perpetrators':<15} "
+                + " ".join(str(asn) for asn in record.perpetrators)
+            )
+    lines.append("")
+    lines.append(
+        f"{answer.concurrent_episodes} of {answer.total_episodes} "
+        f"indexed episode(s) overlap the window "
+        f"({answer.days_indexed} days indexed)"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def query_json(answer: QueryAnswer) -> str:
+    """The query answer as its canonical JSON document."""
+    return json.dumps(answer.to_dict(), indent=2)
+
+
+_QUERY_RENDERERS = {
+    "csv": query_csv,
+    "ascii": query_ascii,
+    "json": query_json,
+}
+
+
+def render_query(answer: QueryAnswer, format: str = "ascii") -> str:
+    """Render a query answer in ``format`` (csv, ascii, or json)."""
+    renderer = _QUERY_RENDERERS.get(format)
+    if renderer is None:
+        raise ValueError(
+            f"query answers have no {format!r} renderer; available "
+            f"formats: {', '.join(sorted(_QUERY_RENDERERS))}"
+        )
+    return renderer(answer)
 
 
 class EpisodeIndex:

@@ -30,7 +30,6 @@ import json
 import math
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -258,6 +257,10 @@ def iter_detections(source, workers: int | None = 1) -> Iterator[DayDetection]:
     if tasks is None or len(tasks) <= 1 or workers <= 1:
         yield from _serial_detections(source)
         return
+    # Imported here: the serial path never spawns a process, so it
+    # never pays for the multiprocessing machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         task_iter = iter(tasks)

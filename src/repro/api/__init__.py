@@ -16,28 +16,7 @@ Three pluggable layers over the analysis core:
   serve``) built on the facade.
 """
 
-from repro.api.renderers import (
-    Renderer,
-    available_renderings,
-    register_renderer,
-    render,
-)
-from repro.api.serve import (
-    BackgroundServer,
-    ServeConfig,
-    ServeDaemon,
-)
-from repro.api.service import CHECKPOINT_VERSION, MoasService
-from repro.api.sources import (
-    ArchiveSource,
-    DetectionSource,
-    MemorySource,
-    MrtFilesSource,
-    NetworkSource,
-    open_source,
-    register_source,
-    source_kinds,
-)
+from repro import lazy_exports
 
 __all__ = [
     "ArchiveSource",
@@ -58,3 +37,26 @@ __all__ = [
     "render",
     "source_kinds",
 ]
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ArchiveSource": "repro.api.sources",
+        "BackgroundServer": "repro.api.serve",
+        "CHECKPOINT_VERSION": "repro.api.service",
+        "DetectionSource": "repro.api.sources",
+        "MemorySource": "repro.api.sources",
+        "MoasService": "repro.api.service",
+        "MrtFilesSource": "repro.api.sources",
+        "NetworkSource": "repro.api.sources",
+        "Renderer": "repro.api.renderers",
+        "ServeConfig": "repro.api.serve",
+        "ServeDaemon": "repro.api.serve",
+        "available_renderings": "repro.api.renderers",
+        "open_source": "repro.api.sources",
+        "register_renderer": "repro.api.renderers",
+        "register_source": "repro.api.sources",
+        "render": "repro.api.renderers",
+        "source_kinds": "repro.api.sources",
+    },
+)

@@ -42,14 +42,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.compare import compare_to_paper, comparison_table
-from repro.analysis.pipeline import StudyResults
-from repro.api.renderers import render
-from repro.api.service import MoasService
-from repro.scenario.world import ScenarioConfig, simulate_study
-from repro.topology.addressing import PoolExhaustedError
-from repro.util.dates import parse_date
+if TYPE_CHECKING:
+    from repro.analysis.pipeline import StudyResults
+
+# No module-level repro import: each handler imports what it runs, so
+# `repro report` does not pay for the simulator or `repro query` for
+# the study pipeline.
 
 
 def _workers_arg(text: str) -> int:
@@ -171,6 +171,10 @@ def _add_simulate(sub) -> None:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from repro.scenario.world import ScenarioConfig, simulate_study
+    from repro.topology.addressing import PoolExhaustedError
+    from repro.util.dates import parse_date
+
     incidents = None
     if args.incidents is not None:
         from repro.scenario.incidents import IncidentScript
@@ -303,6 +307,7 @@ def _add_analyze(sub) -> None:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
+    from repro.api.service import MoasService
     from repro.mrt.errors import MrtError
 
     profile = None
@@ -430,6 +435,9 @@ def write_analysis(
     ``longevity.csv`` and their report sections; without one the
     output tree is byte-identical to earlier releases.
     """
+    from repro.analysis.compare import compare_to_paper, comparison_table
+    from repro.api.renderers import render
+
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "figure1.csv").write_text(render(results, "figure1", "csv"))
@@ -587,10 +595,10 @@ def _add_query(sub) -> None:
 
 
 def _run_query(args: argparse.Namespace) -> int:
-    from repro.analysis.index import INDEX_FILENAME, EpisodeIndex
-    from repro.api.renderers import render_query
+    from repro.analysis.index import INDEX_FILENAME, EpisodeIndex, render_query
     from repro.netbase.prefix import Prefix
     from repro.scenario.archive import ArchiveError
+    from repro.util.dates import parse_date
 
     def fail(error) -> int:
         # Typed query errors exit 2 (argparse's own convention), so
@@ -680,6 +688,8 @@ def _add_evaluate(sub) -> None:
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
+    from repro.api.renderers import render
+    from repro.api.service import MoasService
     from repro.mrt.errors import MrtError
 
     try:

@@ -29,6 +29,7 @@ from repro.analysis.figures import (
     figure6_ascii,
     figure6_csv,
 )
+from repro.analysis.index import render_query  # noqa: F401 — re-exported
 from repro.analysis.pipeline import StudyResults
 from repro.analysis.report import figure2_table, figure4_table, summary_report
 from repro.netbase.rpki import STATE_NOT_EVALUATED, ValidationState
@@ -440,131 +441,6 @@ def _longevity_json(results: StudyResults) -> str:
         ],
         indent=2,
     )
-
-
-# -- episode-index query answers ----------------------------------------------
-#
-# ``repro query`` and ``/v1/history/{prefix}`` render a
-# :class:`~repro.analysis.index.QueryAnswer` — one prefix's indexed
-# history resolved against a day window — not a :class:`StudyResults`,
-# so these are plain functions behind :func:`render_query` rather than
-# registry entries (the registry's contract is whole-study figures).
-
-#: Column order of the ``repro query`` CSV document.
-_QUERY_CSV_COLUMNS = (
-    "prefix,prefix_length,first_day,last_day,days_observed,origins,"
-    "max_origins_single_day,ongoing,one_time,rpki_state,verdict_kind,"
-    "verdict_tags,suspicion,perpetrators,window_start,window_end,"
-    "active,overlap_days,concurrent_episodes,total_episodes,"
-    "days_indexed"
-)
-
-
-def query_csv(answer) -> str:
-    """One query answer as a single-row CSV document."""
-    record = answer.record
-    row = [
-        str(record.prefix),
-        str(record.prefix.length),
-        record.first_day.isoformat(),
-        record.last_day.isoformat(),
-        str(record.days_observed),
-        " ".join(str(asn) for asn in record.origins),
-        str(record.max_origins_single_day),
-        str(int(record.ongoing)),
-        str(int(record.one_time)),
-        record.rpki_state or "",
-        record.verdict_kind or "",
-        " ".join(record.verdict_tags),
-        "" if record.suspicion is None else f"{record.suspicion:.4f}",
-        " ".join(str(asn) for asn in record.perpetrators),
-        answer.window_start.isoformat(),
-        answer.window_end.isoformat(),
-        str(int(answer.active)),
-        str(answer.overlap_days),
-        str(answer.concurrent_episodes),
-        str(answer.total_episodes),
-        str(answer.days_indexed),
-    ]
-    return _QUERY_CSV_COLUMNS + "\n" + ",".join(row) + "\n"
-
-
-def query_ascii(answer) -> str:
-    """The human-readable query answer."""
-    record = answer.record
-    title = f"MOAS episode history: {record.prefix}"
-    window = (
-        f"{answer.window_start.isoformat()} .. "
-        f"{answer.window_end.isoformat()}"
-        + (" (queried)" if answer.explicit_window else " (episode span)")
-    )
-    active = (
-        f"yes ({answer.overlap_days} overlapping day(s))"
-        if answer.active
-        else "no"
-    )
-    lines = [
-        title,
-        "=" * len(title),
-        "",
-        f"{'window':<15} {window}",
-        f"{'active':<15} {active}",
-        f"{'first seen':<15} {record.first_day.isoformat()}",
-        f"{'last seen':<15} {record.last_day.isoformat()}",
-        f"{'days observed':<15} {record.days_observed}",
-        f"{'origins':<15} "
-        + " ".join(str(asn) for asn in record.origins),
-        f"{'peak width':<15} {record.max_origins_single_day}",
-        f"{'ongoing':<15} {'yes' if record.ongoing else 'no'}",
-        f"{'one-time':<15} {'yes' if record.one_time else 'no'}",
-    ]
-    if record.rpki_state is not None:
-        lines.append(f"{'rpki':<15} {record.rpki_state}")
-    if record.verdict_kind is not None:
-        tags = (
-            ", ".join(record.verdict_tags)
-            if record.verdict_tags
-            else "-"
-        )
-        lines.append(
-            f"{'verdict':<15} {record.verdict_kind} "
-            f"(suspicion {record.suspicion:.2f}; tags: {tags})"
-        )
-        if record.perpetrators:
-            lines.append(
-                f"{'perpetrators':<15} "
-                + " ".join(str(asn) for asn in record.perpetrators)
-            )
-    lines.append("")
-    lines.append(
-        f"{answer.concurrent_episodes} of {answer.total_episodes} "
-        f"indexed episode(s) overlap the window "
-        f"({answer.days_indexed} days indexed)"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def query_json(answer) -> str:
-    """The query answer as its canonical JSON document."""
-    return json.dumps(answer.to_dict(), indent=2)
-
-
-_QUERY_RENDERERS = {
-    "csv": query_csv,
-    "ascii": query_ascii,
-    "json": query_json,
-}
-
-
-def render_query(answer, format: str = "ascii") -> str:
-    """Render a query answer in ``format`` (csv, ascii, or json)."""
-    renderer = _QUERY_RENDERERS.get(format)
-    if renderer is None:
-        raise ValueError(
-            f"query answers have no {format!r} renderer; available "
-            f"formats: {', '.join(sorted(_QUERY_RENDERERS))}"
-        )
-    return renderer(answer)
 
 
 # -- incident-attribution evaluation ------------------------------------------

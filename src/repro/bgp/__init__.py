@@ -14,22 +14,3 @@ policies.  This subpackage reproduces that substrate at two levels:
 Both levels share the same relationship model and export rules, and the
 test suite asserts they agree on converged paths.
 """
-
-from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.network import Network
-from repro.bgp.oracle import GaoRexfordOracle, OracleRoute
-from repro.bgp.policy import RouteType, export_allowed, local_pref_for
-from repro.bgp.relationships import ASGraph, Relationship
-
-__all__ = [
-    "Announcement",
-    "Withdrawal",
-    "Network",
-    "GaoRexfordOracle",
-    "OracleRoute",
-    "RouteType",
-    "export_allowed",
-    "local_pref_for",
-    "ASGraph",
-    "Relationship",
-]

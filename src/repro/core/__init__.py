@@ -16,53 +16,3 @@
   analyzer's signal folded into one per-episode :class:`Verdict`
   (tags, predicted incident kind, benign..suspicious score).
 """
-
-from repro.core.classifier import ConflictClass, classify_conflict, classify_pair
-from repro.core.detector import (
-    DailyConflict,
-    columnar_scan_enabled,
-    detect_day,
-    detect_day_columns,
-    detect_snapshot,
-)
-from repro.core.episodes import ConflictEpisode, EpisodeTracker
-from repro.core.realtime import (
-    AlertKind,
-    DaySnapshotAlerter,
-    MoasAlert,
-    StreamingMoasDetector,
-)
-from repro.core.stats import (
-    duration_expectations,
-    duration_histogram,
-    prefix_length_distribution,
-    yearly_medians,
-)
-from repro.core.validator import ConflictValidator, ValidatorConfig
-from repro.core.verdict import Verdict, VerdictConfig, VerdictEngine
-
-__all__ = [
-    "ConflictClass",
-    "classify_conflict",
-    "classify_pair",
-    "DailyConflict",
-    "columnar_scan_enabled",
-    "detect_day",
-    "detect_day_columns",
-    "detect_snapshot",
-    "ConflictEpisode",
-    "EpisodeTracker",
-    "duration_expectations",
-    "duration_histogram",
-    "prefix_length_distribution",
-    "yearly_medians",
-    "AlertKind",
-    "DaySnapshotAlerter",
-    "MoasAlert",
-    "StreamingMoasDetector",
-    "ConflictValidator",
-    "ValidatorConfig",
-    "Verdict",
-    "VerdictConfig",
-    "VerdictEngine",
-]

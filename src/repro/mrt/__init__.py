@@ -14,51 +14,3 @@ Supported record types: TABLE_DUMP (IPv4), TABLE_DUMP_V2
 (PEER_INDEX_TABLE / RIB_IPV4_UNICAST) and BGP4MP state/update messages
 sufficient for the real-time alerter extension.
 """
-
-from repro.mrt.attributes import PathAttributes
-from repro.mrt.constants import (
-    BgpAttrType,
-    BgpOrigin,
-    Bgp4mpSubtype,
-    MrtType,
-    TableDumpV2Subtype,
-)
-from repro.mrt.errors import MrtDecodeError, MrtError, MrtTruncatedError
-from repro.mrt.reader import MrtReader, read_rib_snapshot
-from repro.mrt.records import (
-    Bgp4mpMessage,
-    Bgp4mpStateChange,
-    BgpFsmState,
-    MrtRecord,
-    PeerEntry,
-    PeerIndexTable,
-    RibEntry,
-    RibIpv4Unicast,
-    TableDumpRecord,
-)
-from repro.mrt.writer import MrtWriter, write_rib_snapshot
-
-__all__ = [
-    "PathAttributes",
-    "BgpAttrType",
-    "BgpOrigin",
-    "Bgp4mpSubtype",
-    "MrtType",
-    "TableDumpV2Subtype",
-    "MrtDecodeError",
-    "MrtError",
-    "MrtTruncatedError",
-    "MrtReader",
-    "read_rib_snapshot",
-    "Bgp4mpMessage",
-    "Bgp4mpStateChange",
-    "BgpFsmState",
-    "MrtRecord",
-    "PeerEntry",
-    "PeerIndexTable",
-    "RibEntry",
-    "RibIpv4Unicast",
-    "TableDumpRecord",
-    "MrtWriter",
-    "write_rib_snapshot",
-]

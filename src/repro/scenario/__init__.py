@@ -9,54 +9,3 @@ historical dates, routes everything through Gao-Rexford policies to the
 collector's peers, and writes daily snapshots to an archive that the
 analysis pipeline consumes without any knowledge of how it was made.
 """
-
-from repro.scenario.archive import (
-    ArchiveError,
-    ArchiveReader,
-    ArchiveWriter,
-    DayColumns,
-    DayRecord,
-    PeerRow,
-    convert_archive,
-    read_day_index,
-)
-from repro.scenario.calibration import Calibration, PAPER
-from repro.scenario.collector import CollectorConfig
-from repro.scenario.events import Cause, ConflictEvent
-from repro.scenario.incidents import (
-    IncidentInjector,
-    IncidentKind,
-    IncidentLabel,
-    IncidentScript,
-    IncidentSpec,
-)
-from repro.scenario.routing import CollectorRouting, PeerView
-from repro.scenario.timeline import StudyTimeline
-from repro.scenario.world import ScenarioConfig, ScenarioWorld, simulate_study
-
-__all__ = [
-    "ArchiveError",
-    "ArchiveReader",
-    "ArchiveWriter",
-    "DayColumns",
-    "DayRecord",
-    "PeerRow",
-    "convert_archive",
-    "read_day_index",
-    "Calibration",
-    "PAPER",
-    "CollectorConfig",
-    "Cause",
-    "ConflictEvent",
-    "IncidentInjector",
-    "IncidentKind",
-    "IncidentLabel",
-    "IncidentScript",
-    "IncidentSpec",
-    "CollectorRouting",
-    "PeerView",
-    "StudyTimeline",
-    "ScenarioConfig",
-    "ScenarioWorld",
-    "simulate_study",
-]

@@ -9,21 +9,3 @@ equivalent: a tiered, policy-annotated AS graph
 (:mod:`repro.topology.ixp`).  All magnitudes scale linearly with the
 ``scale`` parameter so laptop-size studies keep paper-shaped statistics.
 """
-
-from repro.topology.addressing import AddressPlan, PREFIX_LENGTH_WEIGHTS
-from repro.topology.generator import TopologyConfig, build_initial_model
-from repro.topology.growth import GrowthModel
-from repro.topology.ixp import ExchangePoint
-from repro.topology.model import ASInfo, InternetModel, Tier
-
-__all__ = [
-    "AddressPlan",
-    "PREFIX_LENGTH_WEIGHTS",
-    "TopologyConfig",
-    "build_initial_model",
-    "GrowthModel",
-    "ExchangePoint",
-    "ASInfo",
-    "InternetModel",
-    "Tier",
-]

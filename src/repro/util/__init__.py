@@ -1,22 +1,2 @@
 """Shared utilities: dates, deterministic RNG streams, ASCII plotting,
 tables, worker-count resolution."""
-
-from repro.util.dates import (
-    DAY,
-    StudyCalendar,
-    date_range,
-    parse_date,
-)
-from repro.util.rng import RngStreams
-from repro.util.tables import format_table
-from repro.util.workers import resolve_workers
-
-__all__ = [
-    "DAY",
-    "StudyCalendar",
-    "date_range",
-    "parse_date",
-    "RngStreams",
-    "format_table",
-    "resolve_workers",
-]

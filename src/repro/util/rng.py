@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *names: str) -> int:
@@ -51,9 +53,15 @@ class RngStreams:
         return self._python_cache[key]
 
     def numpy(self, *names: str) -> np.random.Generator:
-        """A cached :class:`numpy.random.Generator` for the named stream."""
+        """A cached :class:`numpy.random.Generator` for the named stream.
+
+        numpy is imported on the first call, so only the commands that
+        draw from a numpy stream (the generator's) load it.
+        """
         key = tuple(names)
         if key not in self._numpy_cache:
+            import numpy as np
+
             self._numpy_cache[key] = np.random.default_rng(
                 derive_seed(self.root_seed, *names)
             )

@@ -2,10 +2,14 @@
 
 import datetime
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.api.cli import main
 
 ANALYSIS_FILES = (
@@ -260,7 +264,8 @@ class TestWatch:
         from repro.mrt.attributes import PathAttributes
         from repro.mrt.records import Bgp4mpMessage
         from repro.mrt.writer import MrtWriter
-        from repro.netbase import ASPath, Prefix
+        from repro.netbase.aspath import ASPath
+        from repro.netbase.prefix import Prefix
 
         prefix = Prefix.parse("193.0.0.0/16")
 
@@ -341,8 +346,6 @@ class TestHelpText:
         assert "repro: ignore[rule-id]" in help_text
 
     def test_check_subcommand_runs_the_checker(self, capsys):
-        import repro
-
         package_dir = str(pathlib.Path(repro.__file__).parent / "util")
         assert main(["check", package_dir]) == 0
         assert "finding(s)" in capsys.readouterr().out
@@ -724,3 +727,123 @@ class TestConvertCommand:
         except SystemExit as exit_error:
             parser_error = exit_error.code
         assert parser_error == 2
+
+
+# Runs one `repro` command, then writes the names of every loaded
+# module as JSON to the file named by the first argument.
+_MODULE_PROBE = """
+import json, sys
+from repro.api.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exit_:
+    code = exit_.code
+with open(sys.argv[1], "w") as handle:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, handle)
+"""
+
+#: Modules a serial analyze never needs: the numpy-backed generator, the
+#: serve daemon's event loop, and the process pool.
+_NOT_FOR_ANALYZE = {
+    "numpy",
+    "asyncio",
+    "concurrent.futures.process",
+    "repro.api.serve",
+    "repro.scenario.world",
+    "repro.topology.generator",
+}
+
+
+class TestImportDiscipline:
+    """Each subcommand, run in a fresh interpreter, loads only what it
+    runs (the start-up rule in the README's "Hot path" section)."""
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        """An RPKI archive, its analysis and its episode index."""
+        from repro.analysis.index import INDEX_FILENAME, EpisodeIndex
+
+        root = tmp_path_factory.mktemp("import-discipline")
+        archive, out = root / "archive", root / "out"
+        simulate = ["simulate", str(archive), "--scale", "0.01", "--rpki"]
+        assert main(simulate) == 0
+        analyze = ["analyze", str(archive), str(out), "--rpki",
+                   str(archive), "--index"]
+        assert main(analyze) == 0
+        index = EpisodeIndex.load(archive / INDEX_FILENAME)
+        prefix = str(next(iter(index.prefixes())))
+        return archive, out, prefix
+
+    @staticmethod
+    def loaded(tmp_path, *argv: str) -> set[str]:
+        result_path = tmp_path / "modules.json"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]),
+        )
+        subprocess.run(
+            [sys.executable, "-c", _MODULE_PROBE, str(result_path), *argv],
+            check=True,
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        result = json.loads(result_path.read_text())
+        assert result["code"] == 0, result
+        return set(result["modules"])
+
+    @staticmethod
+    def repro_modules(modules: set[str]) -> set[str]:
+        return {name for name in modules
+                if name == "repro" or name.startswith("repro.")}
+
+    def test_version_loads_only_the_cli(self, tmp_path):
+        modules = self.loaded(tmp_path, "--version")
+        assert self.repro_modules(modules) <= {
+            "repro", "repro.api", "repro.api.cli"
+        }
+
+    def test_report_loads_only_the_cli(self, study, tmp_path):
+        _archive, out, _prefix = study
+        modules = self.loaded(tmp_path, "report", str(out))
+        assert self.repro_modules(modules) <= {
+            "repro", "repro.api", "repro.api.cli"
+        }
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("format", ["ascii", "csv", "json"])
+    def test_query_skips_the_study_stack(self, study, tmp_path, format):
+        archive, _out, prefix = study
+        modules = self.loaded(
+            tmp_path, "query", str(archive), prefix, "--format", format
+        )
+        assert "repro.analysis.index" in modules
+        assert not modules & {
+            "numpy",
+            "asyncio",
+            "repro.api.serve",
+            "repro.analysis.pipeline",
+            "repro.api.renderers",
+            "repro.scenario.world",
+        }
+
+    @pytest.mark.parametrize("extra", [[], ["--rpki", "--index"]],
+                             ids=["plain", "rpki-index"])
+    def test_serial_analyze_skips_simulator_server_and_pool(
+        self, study, tmp_path, extra
+    ):
+        archive, _out, _prefix = study
+        argv = ["analyze", str(archive), str(tmp_path / "out")]
+        if extra:
+            argv += ["--rpki", str(archive), "--index",
+                     str(tmp_path / "episodes.idx")]
+        modules = self.loaded(tmp_path, *argv)
+        assert "repro.analysis.pipeline" in modules
+        assert not modules & _NOT_FOR_ANALYZE
+
+    def test_simulate_imports_numpy_on_use(self, tmp_path):
+        modules = self.loaded(
+            tmp_path, "simulate", str(tmp_path / "archive"), "--scale", "0.01"
+        )
+        assert {"numpy", "repro.scenario.world"} <= modules
+        assert (tmp_path / "archive" / "manifest.json").is_file()

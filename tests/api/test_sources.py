@@ -14,9 +14,10 @@ from repro.api import (
     open_source,
     source_kinds,
 )
-from repro.bgp import ASGraph, Network
+from repro.bgp.network import Network
+from repro.bgp.relationships import ASGraph
 from repro.core.detector import detect_snapshot
-from repro.netbase import Prefix
+from repro.netbase.prefix import Prefix
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
 
